@@ -26,6 +26,11 @@ else
 fi
 echo "-- differential seed: $DIFF_SEED"
 ./build-rel/tests/differential_test --seed="$DIFF_SEED"
+# The update-churn arm lands its swaps at seed-fixed positions, so it must
+# pass five repeats at one seed; a scheduling dependence fails here instead
+# of hiding in one lucky run.
+./build-rel/tests/differential_test --seed="$DIFF_SEED" \
+  --gtest_filter='*UpdateChurn*' --gtest_repeat=5 --gtest_brief=1
 
 echo "== Bench smoke: every bench_* runs one tiny iteration =="
 # Not a measurement — just proof that each benchmark still sets up its

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -713,20 +714,22 @@ TEST(CachedServiceDifferentialTest, SynchronousCachedServiceMatchesOracle) {
 // Satellite: update-churn lockstep under pauseless swaps (PR 9)
 // ================================================================
 
-/// 12k-op lockstep while a second thread streams ApplyPolicyUpdates
+/// 12k-op lockstep while a second thread applies ApplyPolicyUpdates
 /// (permission / assignment / DSD toggles from scenario_gen's mutation
 /// helpers) through the pauseless swap path. A shared step mutex makes
 /// each (service op, oracle op) pair and each (service update, oracle
 /// update) pair atomic — those are the linearization points; between any
 /// two of them the two systems must agree exactly, so a swap that leaked a
-/// half-applied generation into a verdict shows up as a divergence.
+/// half-applied generation into a verdict shows up as a divergence. The
+/// main loop hands the step mutex over in turns: after every kOpsPerTurn
+/// requests it grants the churn thread one turn and waits for it, so the
+/// swaps land at positions fixed by the seed, not by the scheduler, and a
+/// printed --seed replays them.
 TEST(CachedServiceDifferentialTest, UpdateChurnTwelveThousandOpsZeroDivergences) {
   const uint64_t seed = g_harness_seed ^ 0xc0ffee5eedull;
-  std::cerr << "[harness] update-churn differential seed: --seed="
-            << g_harness_seed << "\n";
 
   const Policy policy = GeneratePolicy(CachedHarnessPolicyParams(seed));
-  ASSERT_TRUE(policy.Validate().ok());
+  ASSERT_TRUE(policy.Validate().ok()) << "--seed=" << g_harness_seed;
 
   RequestGenParams request_params;
   request_params.seed = seed;
@@ -752,9 +755,14 @@ TEST(CachedServiceDifferentialTest, UpdateChurnTwelveThousandOpsZeroDivergences)
 
   // The oracle is single-threaded and the lockstep comparison needs the
   // pair (service call, oracle call) to be one atomic step; everything on
-  // both systems happens under step_mu.
+  // both systems happens under step_mu, and so do the turn counters and
+  // the stop flag.
+  constexpr size_t kOpsPerTurn = 64;
   std::mutex step_mu;
-  std::atomic<bool> stop{false};
+  std::condition_variable turn_cv;
+  uint64_t turns_granted = 0;
+  uint64_t turns_done = 0;
+  bool stop = false;
   std::atomic<uint64_t> updates_applied{0};
   std::atomic<uint64_t> updates_rejected{0};
   std::atomic<bool> churn_ok{true};
@@ -767,24 +775,29 @@ TEST(CachedServiceDifferentialTest, UpdateChurnTwelveThousandOpsZeroDivergences)
     Policy current = policy;
     uint64_t salt = seed;
     int kind = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      ++salt;
-      Result<Policy> mutated = Status::NotFound("unset");
-      switch (kind) {
-        case 0:
-          mutated = WithToggledPermission(current, salt);
-          break;
-        case 1:
-          mutated = WithToggledAssignment(current, salt);
-          break;
-        default:
-          mutated = WithToggledDsd(current, "churn-dsd");
-          break;
-      }
-      kind = (kind + 1) % 3;
-      if (!mutated.ok()) continue;  // No candidate for this kind; rotate.
-      {
-        std::lock_guard<std::mutex> lock(step_mu);
+    std::unique_lock<std::mutex> lock(step_mu);
+    while (true) {
+      turn_cv.wait(lock, [&] { return stop || turns_done < turns_granted; });
+      if (stop) return;
+      // One turn: rotate through the mutation kinds until one yields a
+      // candidate, then apply it to both systems as one atomic pair (or to
+      // neither, when no kind has a candidate).
+      for (int attempt = 0; attempt < 3; ++attempt) {
+        ++salt;
+        Result<Policy> mutated = Status::NotFound("unset");
+        switch (kind) {
+          case 0:
+            mutated = WithToggledPermission(current, salt);
+            break;
+          case 1:
+            mutated = WithToggledAssignment(current, salt);
+            break;
+          default:
+            mutated = WithToggledDsd(current, "churn-dsd");
+            break;
+        }
+        kind = (kind + 1) % 3;
+        if (!mutated.ok()) continue;  // No candidate for this kind; rotate.
         const auto service_update = service.ApplyPolicyUpdate(*mutated);
         const Status oracle_update = oracle.ApplyPolicyUpdate(*mutated);
         if (service_update.ok() != oracle_update.ok()) {
@@ -792,9 +805,7 @@ TEST(CachedServiceDifferentialTest, UpdateChurnTwelveThousandOpsZeroDivergences)
           churn_error = "service: " + std::string(
               service_update.status().message()) + " / oracle: " +
               std::string(oracle_update.message());
-          return;
-        }
-        if (service_update.ok()) {
+        } else if (service_update.ok()) {
           current = std::move(*mutated);
           updates_applied.fetch_add(1, std::memory_order_relaxed);
         } else {
@@ -804,15 +815,36 @@ TEST(CachedServiceDifferentialTest, UpdateChurnTwelveThousandOpsZeroDivergences)
           // identically and the churn moves on from the same base.
           updates_rejected.fetch_add(1, std::memory_order_relaxed);
         }
+        break;
       }
-      // Unlocked gap: decision traffic interleaves with the next swap.
-      std::this_thread::yield();
+      ++turns_done;
+      turn_cv.notify_all();
     }
   });
 
+  // Stops and joins the churn thread on every exit path: a failed ASSERT
+  // below returns early, and a joinable std::thread's destructor would
+  // call std::terminate while the thread waits for its next turn.
+  struct ChurnJoiner {
+    std::mutex& mu;
+    std::condition_variable& cv;
+    bool& stop;
+    std::thread& thread;
+    void Join() {
+      if (!thread.joinable()) return;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        stop = true;
+      }
+      cv.notify_all();
+      thread.join();
+    }
+    ~ChurnJoiner() { Join(); }
+  } churn_joiner{step_mu, turn_cv, stop, churn};
+
   for (size_t i = 0; i < requests.size() && churn_ok; ++i) {
     const Request& request = requests[i];
-    std::lock_guard<std::mutex> lock(step_mu);
+    std::unique_lock<std::mutex> lock(step_mu);
     const Decision got = ApplyRequest(cached, request);
     const Decision want = ApplyRequest(oracle, request);
     ASSERT_EQ(got.allowed, want.allowed)
@@ -827,14 +859,25 @@ TEST(CachedServiceDifferentialTest, UpdateChurnTwelveThousandOpsZeroDivergences)
       ASSERT_EQ(got.reason, want.reason)
           << "--seed=" << g_harness_seed << " request #" << i;
     }
+    if ((i + 1) % kOpsPerTurn == 0) {
+      // Grant the churn thread one turn and wait, still inside the step,
+      // until it has finished: its swap lands between requests #i and #i+1.
+      ++turns_granted;
+      turn_cv.notify_all();
+      turn_cv.wait(lock, [&] { return turns_done == turns_granted; });
+    }
   }
 
-  stop.store(true, std::memory_order_release);
-  churn.join();
+  churn_joiner.Join();
+  std::cerr << "[harness] update-churn differential seed: --seed="
+            << g_harness_seed << " swaps landed: " << updates_applied.load()
+            << " rejected: " << updates_rejected.load() << "\n";
   ASSERT_TRUE(churn_ok.load()) << "churned update diverged: " << churn_error
                                << " --seed=" << g_harness_seed;
   // The arm is vacuous unless a meaningful stream of swaps actually landed
-  // mid-run; with the yield cadence this is reliably in the hundreds.
+  // mid-run; one turn per kOpsPerTurn requests grants ~187 turns over 12k
+  // requests, so this fails only if most turns find no candidate mutation
+  // or prepare refuses it.
   EXPECT_GE(updates_applied.load(), 16u) << "--seed=" << g_harness_seed;
   // The swap telemetry reconciles exactly with what the churn observed:
   // every accepted update was a pauseless commit, every rejection was
