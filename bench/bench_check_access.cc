@@ -1,13 +1,11 @@
 // E5 — checkAccess latency (Rule 5 / CA1): the globalized check-access
 // rule walks the session's active role set and the permission inheritance
 // closure. Sweeps the number of active roles per session and permissions
-// per role; engine (behind the AuthorizationService facade, submitted via
-// CheckAccessBatch so bulk callers pay one boundary hop per batch) vs
-// DirectEnforcer.
+// per role; the engine, called directly on the benchmark thread (no service
+// facade or mailbox cost), vs DirectEnforcer.
 
 #include <benchmark/benchmark.h>
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -39,14 +37,10 @@ Policy FlatPolicy(int roles, int perms) {
   return policy;
 }
 
-void ActivateAll(AuthorizationService& service, int roles) {
-  (void)service.CreateSession("u", "s1");
-  for (int r = 0; r < roles; ++r) {
-    (void)service.AddActiveRole("u", "s1", SyntheticRoleName(r));
-  }
-}
-
-void ActivateAllBaseline(DirectEnforcer& enforcer, int roles) {
+/// Works for the engine and DirectEnforcer alike: both take the NIST
+/// session calls with the same signatures.
+template <typename Enforcer>
+void ActivateAll(Enforcer& enforcer, int roles) {
   (void)enforcer.CreateSession("u", "s1");
   for (int r = 0; r < roles; ++r) {
     (void)enforcer.AddActiveRole("u", "s1", SyntheticRoleName(r));
@@ -61,19 +55,21 @@ std::vector<AccessRequest> RepeatRequest(const std::string& op,
                                     AccessRequest{"u", "s1", op, obj, ""});
 }
 
-void RunBatches(benchmark::State& state, AuthorizationService& service,
+void RunBatches(benchmark::State& state, AuthorizationEngine& engine,
                 const std::vector<AccessRequest>& batch) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        service.CheckAccessBatch(std::span<const AccessRequest>(batch)));
+    for (const AccessRequest& request : batch) {
+      benchmark::DoNotOptimize(engine.CheckAccess(
+          request.session, request.operation, request.object));
+    }
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(batch.size()));
   // The engine's own sampled latency histogram, scraped once at the end —
   // percentile counters ride along in the benchmark's JSON output.
-  const TelemetrySnapshot snap = service.Snapshot();
+  const telemetry::RegistrySnapshot snap = engine.metrics().Snapshot();
   const telemetry::HistogramSnapshot* latency =
-      snap.metrics.FindHistogram("decision_latency_us");
+      snap.FindHistogram("decision_latency_us");
   if (latency != nullptr && latency->TotalCount() > 0) {
     state.counters["lat_p50_us"] = latency->Percentile(50);
     state.counters["lat_p99_us"] = latency->Percentile(99);
@@ -83,11 +79,11 @@ void RunBatches(benchmark::State& state, AuthorizationService& service,
 
 void BM_CheckAccess_Engine_ActiveRoles(benchmark::State& state) {
   const int roles = static_cast<int>(state.range(0));
-  benchutil::ServiceUnderTest sut(FlatPolicy(roles, 4));
-  ActivateAll(*sut.service, roles);
+  benchutil::EngineUnderTest sut(FlatPolicy(roles, 4));
+  ActivateAll(*sut.engine, roles);
   // Worst case: the permission held only by the last-ordered role.
   const std::string obj = SyntheticObjectName((roles - 1) * 4 + 3);
-  RunBatches(state, *sut.service, RepeatRequest("op3", obj));
+  RunBatches(state, *sut.engine, RepeatRequest("op3", obj));
   state.counters["active_roles"] = roles;
 }
 BENCHMARK(BM_CheckAccess_Engine_ActiveRoles)->Arg(1)->Arg(4)->Arg(16)
@@ -96,7 +92,7 @@ BENCHMARK(BM_CheckAccess_Engine_ActiveRoles)->Arg(1)->Arg(4)->Arg(16)
 void BM_CheckAccess_Baseline_ActiveRoles(benchmark::State& state) {
   const int roles = static_cast<int>(state.range(0));
   benchutil::BaselineUnderTest sut(FlatPolicy(roles, 4));
-  ActivateAllBaseline(*sut.enforcer, roles);
+  ActivateAll(*sut.enforcer, roles);
   const std::string obj = SyntheticObjectName((roles - 1) * 4 + 3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sut.enforcer->CheckAccess("s1", "op3", obj));
@@ -108,10 +104,10 @@ BENCHMARK(BM_CheckAccess_Baseline_ActiveRoles)->Arg(1)->Arg(4)->Arg(16)
 
 void BM_CheckAccess_Engine_PermsPerRole(benchmark::State& state) {
   const int perms = static_cast<int>(state.range(0));
-  benchutil::ServiceUnderTest sut(FlatPolicy(4, perms));
-  ActivateAll(*sut.service, 4);
+  benchutil::EngineUnderTest sut(FlatPolicy(4, perms));
+  ActivateAll(*sut.engine, 4);
   const std::string obj = SyntheticObjectName(3 * perms + perms - 1);
-  RunBatches(state, *sut.service,
+  RunBatches(state, *sut.engine,
              RepeatRequest("op" + std::to_string(perms - 1), obj));
   state.counters["perms_per_role"] = perms;
 }
@@ -119,17 +115,17 @@ BENCHMARK(BM_CheckAccess_Engine_PermsPerRole)->Arg(2)->Arg(8)->Arg(32)
     ->Arg(128);
 
 void BM_CheckAccess_Engine_Denied(benchmark::State& state) {
-  benchutil::ServiceUnderTest sut(FlatPolicy(8, 4));
-  ActivateAll(*sut.service, 8);
+  benchutil::EngineUnderTest sut(FlatPolicy(8, 4));
+  ActivateAll(*sut.engine, 8);
   // Known op/object, but no grant matches: full scan, then deny.
-  RunBatches(state, *sut.service,
+  RunBatches(state, *sut.engine,
              RepeatRequest("op0", SyntheticObjectName(1)));
 }
 BENCHMARK(BM_CheckAccess_Engine_Denied);
 
 void BM_CheckAccess_Baseline_Denied(benchmark::State& state) {
   benchutil::BaselineUnderTest sut(FlatPolicy(8, 4));
-  ActivateAllBaseline(*sut.enforcer, 8);
+  ActivateAll(*sut.enforcer, 8);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         sut.enforcer->CheckAccess("s1", "op0", SyntheticObjectName(1)));
@@ -145,10 +141,9 @@ void BM_CheckAccess_Engine_RepeatHeavy(benchmark::State& state) {
   const size_t capacity = static_cast<size_t>(state.range(0));
   constexpr int kRoles = 16;
   constexpr int kPerms = 4;
-  benchutil::ServiceUnderTest sut(FlatPolicy(kRoles, kPerms), 1,
-                                  /*synchronous=*/true, benchutil::Noon(),
-                                  capacity);
-  ActivateAll(*sut.service, kRoles);
+  benchutil::EngineUnderTest sut(FlatPolicy(kRoles, kPerms));
+  if (capacity > 0) sut.engine->ConfigureDecisionCache(capacity);
+  ActivateAll(*sut.engine, kRoles);
   // 16 distinct requests spread across the role set, repeated to kBatch.
   std::vector<AccessRequest> batch;
   batch.reserve(kBatch);
@@ -160,14 +155,13 @@ void BM_CheckAccess_Engine_RepeatHeavy(benchmark::State& state) {
         "u", "s1", "op" + std::to_string(perm),
         SyntheticObjectName(role * kPerms + perm), ""});
   }
-  RunBatches(state, *sut.service, batch);
+  RunBatches(state, *sut.engine, batch);
   state.counters["cache_capacity"] = static_cast<double>(capacity);
-  const ServiceStats stats = sut.service->Stats();
-  const uint64_t lookups = stats.cache_hits + stats.cache_misses;
+  const uint64_t hits = sut.engine->decision_cache_hits();
+  const uint64_t lookups = hits + sut.engine->decision_cache_misses();
   state.counters["cache_hit_rate"] =
       lookups == 0 ? 0.0
-                   : static_cast<double>(stats.cache_hits) /
-                         static_cast<double>(lookups);
+                   : static_cast<double>(hits) / static_cast<double>(lookups);
 }
 BENCHMARK(BM_CheckAccess_Engine_RepeatHeavy)->Arg(0)->Arg(1024);
 
@@ -191,10 +185,10 @@ void BM_CheckAccess_Engine_HierarchyDepth(benchmark::State& state) {
   user.assignments.insert("L" + std::to_string(depth));
   (void)policy.AddUser(std::move(user));
 
-  benchutil::ServiceUnderTest sut(policy);
-  (void)sut.service->CreateSession("u", "s1");
-  (void)sut.service->AddActiveRole("u", "s1", "L" + std::to_string(depth));
-  RunBatches(state, *sut.service, RepeatRequest("read", "leaf"));
+  benchutil::EngineUnderTest sut(policy);
+  (void)sut.engine->CreateSession("u", "s1");
+  (void)sut.engine->AddActiveRole("u", "s1", "L" + std::to_string(depth));
+  RunBatches(state, *sut.engine, RepeatRequest("read", "leaf"));
   state.counters["depth"] = depth;
 }
 BENCHMARK(BM_CheckAccess_Engine_HierarchyDepth)->Arg(1)->Arg(4)->Arg(16)

@@ -55,7 +55,6 @@ void BM_Service_CachedHit(benchmark::State& state) {
 
   ServiceConfig config;
   config.num_shards = 1;
-  config.synchronous = false;
   config.start_time = benchutil::Noon();
   config.decision_cache_capacity = 1024;
   config.decision_cache_fastpath = fastpath;

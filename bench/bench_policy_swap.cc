@@ -1,20 +1,19 @@
-// Update-churn A/B: CheckAccess latency on a warm key while a sustained
-// stream of policy updates lands, through the two update disciplines:
+// Update-churn benchmark: CheckAccess latency on a warm key while a
+// sustained stream of pauseless policy swaps lands, against two controls:
 //
 //   {0}  no churn — the baseline the 2x acceptance bound is measured from.
-//   {1}  barrier churn — pauseless_updates=false: every update is a
-//        stop-the-world epoch broadcast; all shards stall while each one
-//        re-validates + re-diffs the whole policy, and the bumped cache
-//        epoch wipes every warm verdict. The update-correlated p99 cliff.
-//   {2}  RCU churn — pauseless swaps: the update is prepared once off the
-//        shard threads and committed as one small envelope per shard (flip
-//        + affected-rule regenerate); warm verdicts for untouched keys
-//        keep their stamps and keep hitting.
+//   {2}  RCU churn — every update is prepared once off the shard threads
+//        and committed as one small envelope per shard (flip +
+//        affected-rule regenerate); warm verdicts for untouched keys keep
+//        their stamps and keep hitting.
 //   {3}  wake-only control — a thread wakes at the same cadence and does
 //        NOTHING. On few-core hosts every wake evicts the measured thread
 //        for a scheduler timeslice, so this arm is the latency floor for
 //        ANY concurrent admin activity; the swap-correlated overhead of
 //        arm 2 is its p99 minus this arm's, not minus the idle baseline.
+//
+// Arm numbers match BENCH_PR9.json, which also records the retired
+// stop-the-world barrier arm {1} that arm 2 replaced.
 //
 // The churn thread applies alternating permission-toggle updates to a role
 // the measured key never touches, at a steady ~500 updates/s (2ms cadence)
@@ -45,8 +44,7 @@ constexpr int kBatch = 64;
 
 /// The default synthetic enterprise (50 roles, 100 users, hierarchy, SoD)
 /// plus a dedicated `reader` role for the measured key — realistic policy
-/// bulk, so the barrier arm pays its real full-re-validate + full-re-diff
-/// cost per update. The churn stream toggles a permission on a synthetic
+/// bulk, so each swap pays its real validate + diff cost. The churn stream toggles a permission on a synthetic
 /// role the measured key never touches (WithToggledPermission picks the
 /// first role in name order: "R0000" sorts before "reader").
 Policy ChurnPolicy() {
@@ -72,17 +70,14 @@ double Percentile(const std::vector<double>& sorted, double p) {
 
 void BM_CheckAccess_UnderUpdateChurn(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
-  const bool churn = mode == 1 || mode == 2;
+  const bool churn = mode == 2;
   const bool wake_only = mode == 3;
-  const bool pauseless = mode == 2;
 
   ServiceConfig config;
   config.num_shards = 2;
-  config.synchronous = false;
   config.start_time = benchutil::Noon();
   config.decision_cache_capacity = 1024;
   config.decision_cache_fastpath = false;
-  config.pauseless_updates = pauseless;
   auto service = std::make_unique<AuthorizationService>(config);
   const Policy base = ChurnPolicy();
   if (!service->LoadPolicy(base).ok()) std::abort();
@@ -111,7 +106,7 @@ void BM_CheckAccess_UnderUpdateChurn(benchmark::State& state) {
         // Steady cadence (~500 updates/s — orders of magnitude beyond any
         // real admin stream): a sustained stream, not a busy-spinning admin
         // saturating the shard threads (which would measure CPU contention,
-        // not the update discipline).
+        // not the swap).
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
     });
@@ -148,8 +143,7 @@ void BM_CheckAccess_UnderUpdateChurn(benchmark::State& state) {
   state.counters["p99_ns"] = Percentile(samples, 99);
   state.counters["updates"] = static_cast<double>(updates.load());
   // The RCU arm's warm key must KEEP hitting across swaps (its stamp only
-  // moves when the pool generation does — and then one miss refills it);
-  // the barrier arm re-misses after every epoch wipe.
+  // moves when the pool generation does — and then one miss refills it).
   ServiceStats stats = service->Stats();
   state.counters["hit_frac"] =
       total == 0 ? 0.0 : static_cast<double>(stats.cache_hits) / total;
@@ -171,7 +165,6 @@ void BM_CheckAccess_UnderUpdateChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckAccess_UnderUpdateChurn)
     ->Arg(0)  // Baseline: no update stream.
-    ->Arg(1)  // Barrier churn: epoch broadcast per update (legacy).
     ->Arg(2)  // RCU churn: pauseless swap per update.
     ->Arg(3)  // Wake-only control: same cadence, no updates.
     ->UseRealTime()

@@ -3,8 +3,9 @@
 // batch API (one mailbox hop per involved shard per batch). The per-shard
 // engines never share request-path state, so on a machine with enough
 // cores throughput scales with the shard count; the `shards` counter and
-// items_per_second make the scaling curve directly readable. A synchronous
-// single-shard run is included as the no-thread reference.
+// items_per_second make the scaling curve directly readable. The same pool
+// decided by one bare engine on the benchmark thread is the no-thread
+// reference.
 
 #include <benchmark/benchmark.h>
 
@@ -49,13 +50,14 @@ Policy ScalingPolicy() {
 std::string SessionOf(int user) { return "sess" + std::to_string(user); }
 
 /// One session per user with kActiveRoles activations — the per-shard
-/// working set the check path walks.
-void ActivateSessions(AuthorizationService& service) {
+/// working set the check path walks. `target` is the service or an engine.
+template <typename Target>
+void ActivateSessions(Target& target) {
   for (int u = 0; u < kUsers; ++u) {
     const std::string user = SyntheticUserName(u);
-    (void)service.CreateSession(user, SessionOf(u));
+    (void)target.CreateSession(user, SessionOf(u));
     for (int r = 0; r < kActiveRoles; ++r) {
-      (void)service.AddActiveRole(user, SessionOf(u), SyntheticRoleName(r));
+      (void)target.AddActiveRole(user, SessionOf(u), SyntheticRoleName(r));
     }
   }
 }
@@ -77,16 +79,14 @@ std::vector<AccessRequest> BuildRequestPool() {
   return pool;
 }
 
-void RunBatches(benchmark::State& state, AuthorizationService& service) {
-  ActivateSessions(service);
+/// Runs `decide_pool(pool)` — which returns how many of the pool's requests
+/// were allowed — once per iteration.
+template <typename DecidePool>
+void RunBatches(benchmark::State& state, DecidePool decide_pool) {
   const std::vector<AccessRequest> pool = BuildRequestPool();
   uint64_t allowed = 0;
   for (auto _ : state) {
-    const std::vector<AccessDecision> decisions =
-        service.CheckAccessBatch(std::span<const AccessRequest>(pool));
-    for (const AccessDecision& decision : decisions) {
-      allowed += decision.allowed ? 1 : 0;
-    }
+    allowed += decide_pool(pool);
     benchmark::DoNotOptimize(allowed);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -100,9 +100,17 @@ void RunBatches(benchmark::State& state, AuthorizationService& service) {
 
 void BM_Service_Sharded(benchmark::State& state) {
   const int shards = static_cast<int>(state.range(0));
-  benchutil::ServiceUnderTest sut(ScalingPolicy(), shards,
-                                  /*synchronous=*/false);
-  RunBatches(state, *sut.service);
+  benchutil::ServiceUnderTest sut(ScalingPolicy(), shards);
+  AuthorizationService& service = *sut.service;
+  ActivateSessions(service);
+  RunBatches(state, [&service](const std::vector<AccessRequest>& pool) {
+    uint64_t allowed = 0;
+    for (const AccessDecision& decision :
+         service.CheckAccessBatch(std::span<const AccessRequest>(pool))) {
+      allowed += decision.allowed;
+    }
+    return allowed;
+  });
   state.counters["shards"] = shards;
 }
 BENCHMARK(BM_Service_Sharded)
@@ -113,12 +121,20 @@ BENCHMARK(BM_Service_Sharded)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-void BM_Service_Synchronous(benchmark::State& state) {
-  benchutil::ServiceUnderTest sut(ScalingPolicy(), 1, /*synchronous=*/true);
-  RunBatches(state, *sut.service);
+void BM_Engine_Inline(benchmark::State& state) {
+  benchutil::EngineUnderTest sut(ScalingPolicy());
+  AuthorizationEngine& engine = *sut.engine;
+  ActivateSessions(engine);
+  RunBatches(state, [&engine](const std::vector<AccessRequest>& pool) {
+    uint64_t allowed = 0;
+    for (const AccessRequest& r : pool) {
+      allowed += engine.CheckAccess(r.session, r.operation, r.object).allowed;
+    }
+    return allowed;
+  });
   state.counters["shards"] = 0;  // No threads: inline reference.
 }
-BENCHMARK(BM_Service_Synchronous)
+BENCHMARK(BM_Engine_Inline)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

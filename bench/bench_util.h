@@ -36,19 +36,14 @@ struct EngineUnderTest {
   }
 };
 
-/// AuthorizationService with policy loaded; synchronous single-shard by
-/// default (the engine-equivalent mode), or `num_shards` threaded shards.
+/// AuthorizationService with policy loaded on `num_shards` shard threads.
 struct ServiceUnderTest {
   std::unique_ptr<AuthorizationService> service;
 
-  explicit ServiceUnderTest(const Policy& policy, int num_shards = 1,
-                            bool synchronous = true, Time start = Noon(),
-                            size_t decision_cache_capacity = 0) {
+  ServiceUnderTest(const Policy& policy, int num_shards) {
     ServiceConfig config;
     config.num_shards = num_shards;
-    config.synchronous = synchronous;
-    config.start_time = start;
-    config.decision_cache_capacity = decision_cache_capacity;
+    config.start_time = Noon();
     service = std::make_unique<AuthorizationService>(config);
     const Status status = service->LoadPolicy(policy);
     if (!status.ok()) {

@@ -160,7 +160,7 @@ audit_smoke() {
     --requests=500 --batch=8
   kill -TERM "$serve_pid"
   wait "$serve_pid"
-  grep -E 'audit_drops=0 drained$' "$log" >/dev/null || {
+  grep -E 'audit_drops=0 .*drained$' "$log" >/dev/null || {
     echo "audit-smoke: server stats line missing audit_drops=0" >&2
     cat "$log" >&2
     return 1
@@ -263,8 +263,9 @@ net_smoke build-asan
 
 echo "== Replay determinism under ASan: capture -> zero-diff shadow eval =="
 # The record/replay acceptance loop on the instrumented tree: a smoke-scale
-# soak captures a multi-thousand-decision stream plus its policy and a
-# one-DSD-edge mutation of it. Replaying against the unchanged policy must
+# soak on its default single shard thread (the deterministic configuration:
+# one engine decides the whole stream in order) captures a multi-thousand-
+# decision stream plus its policy and a one-DSD-edge mutation of it. Replaying against the unchanged policy must
 # produce zero verdict diffs (--expect-zero-diffs exits 3 otherwise); the
 # mutated policy must replay cleanly (diffs expected, exit 0 without the
 # strict flag) — both paths under ASan/UBSan.
@@ -282,15 +283,16 @@ REPLAY_TMP=$(mktemp -d)
 rm -rf "$REPLAY_TMP"
 
 # TSan is incompatible with ASan, so the threaded service tests get their
-# own build tree.
-echo "== Sanitizer pass: thread (service + mailbox + fast-path + net tests) =="
+# own build tree. replay_test is here because its captures run on a shard
+# thread beside the audit exporter's writer thread.
+echo "== Sanitizer pass: thread (service + mailbox + fast-path + net + replay tests) =="
 cmake -B build-tsan -S . -DSENTINELPP_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build build-tsan -j"$JOBS" --target service_test mailbox_test \
   policer_test fastpath_test interner_test wire_test net_test audit_test \
-  policy_swap_test
+  policy_swap_test replay_test
 ctest --test-dir build-tsan --output-on-failure \
-  -R '^(service_test|mailbox_test|policer_test|fastpath_test|interner_test|wire_test|net_test|audit_test|policy_swap_test)$'
+  -R '^(service_test|mailbox_test|policer_test|fastpath_test|interner_test|wire_test|net_test|audit_test|policy_swap_test|replay_test)$'
 
 echo "== Overload stress: stall-injected shed/deadline paths under TSan =="
 # The acceptance stress for the bounded-mailbox work: shard stalls injected

@@ -170,14 +170,6 @@ struct AdminResult {
     decision.latency = latency;
     return decision;
   }
-
-  /// Deprecated bridge so pre-AdminResult callers that bind the result to
-  /// an AccessDecision still compile. New code reads the typed fields.
-  [[deprecated("service mutators return AdminResult; use .ok()/.status or "
-               "the explicit ToDecision()")]]
-  operator AccessDecision() const {  // NOLINT(google-explicit-constructor)
-    return ToDecision();
-  }
 };
 
 }  // namespace sentinel

@@ -121,8 +121,7 @@ Result<std::unique_ptr<AuthorizationService>> AuthorizationService::Create(
 }
 
 AuthorizationService::AuthorizationService(const ServiceConfig& config)
-    : synchronous_(config.synchronous),
-      init_status_(ValidateConfig(config)),
+    : init_status_(ValidateConfig(config)),
       shed_on_full_(config.overload_policy == OverloadPolicy::kShed),
       default_deadline_(config.default_deadline) {
   int count = config.num_shards;
@@ -143,11 +142,7 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
     count = static_cast<int>(std::thread::hardware_concurrency());
     if (count <= 0) count = 1;
   }
-  if (synchronous_) count = 1;
-  // Synchronous calls already run inline on the caller's thread; the fast
-  // path would only add a redundant probe in front of the engine's own
-  // cache lookup.
-  fastpath_ = fastpath && cache_capacity > 0 && !synchronous_;
+  fastpath_ = fastpath && cache_capacity > 0;
   latency_sample_every_ = config.latency_sample_every;
   now_.store(config.start_time, std::memory_order_release);
 
@@ -199,7 +194,6 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
     const size_t cap = config.mailbox_capacity;
     over_quota_max_depth_ = cap > 0 ? cap - cap / 4 : 0;
   }
-  pauseless_updates_ = config.pauseless_updates;
   policy_swaps_counter_ = service_metrics_.AddCounter(
       "policy_swap_total", "policy generations committed pauselessly");
   policy_swap_failures_counter_ = service_metrics_.AddCounter(
@@ -208,7 +202,7 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
   swap_build_hist_ = service_metrics_.AddHistogram(
       "policy_swap_build_us",
       "off-thread prepare cost of a policy update (validate+diff, us)",
-      telemetry::Histogram::ExponentialBounds(1, 2.0, 15));
+      telemetry::Histogram::ExponentialBounds(1, 2.0, 20));
 
   // The exporter must exist before any shard thread starts: ShardLoop reads
   // audit_ without synchronization, relying on the thread-start fence.
@@ -267,7 +261,7 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
     shard->swap_commit_hist = registry.AddHistogram(
         "policy_swap_commit_us",
         "on-shard-thread cost of one pauseless swap commit (us)",
-        telemetry::Histogram::ExponentialBounds(1, 2.0, 15));
+        telemetry::Histogram::ExponentialBounds(1, 2.0, 20));
     if (cache_capacity > 0) {
       shard->engine->ConfigureDecisionCache(cache_capacity);
     }
@@ -288,13 +282,11 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
     }
     shards_.push_back(std::move(shard));
   }
-  if (!synchronous_) {
-    for (auto& shard : shards_) {
-      shard->thread = std::thread(&AuthorizationService::ShardLoop, this,
-                                  shard.get());
-    }
-    timer_thread_ = std::thread(&AuthorizationService::TimerLoop, this);
+  for (auto& shard : shards_) {
+    shard->thread =
+        std::thread(&AuthorizationService::ShardLoop, this, shard.get());
   }
+  timer_thread_ = std::thread(&AuthorizationService::TimerLoop, this);
 }
 
 AuthorizationService::~AuthorizationService() { Shutdown(); }
@@ -362,23 +354,21 @@ void AuthorizationService::TimerLoop() {
 
 void AuthorizationService::Shutdown() {
   std::lock_guard<std::mutex> lock(shutdown_mu_);
-  if (shut_down_.load(std::memory_order_relaxed)) return;
-  shut_down_.store(true, std::memory_order_release);
-  if (!synchronous_) {
-    // Order matters: the timer thread broadcasts into shard mailboxes, so
-    // it must drain and exit before those mailboxes close.
-    timer_mailbox_.Close();
-    if (timer_thread_.joinable()) timer_thread_.join();
-    for (auto& shard : shards_) shard->mailbox.Close();
-    for (auto& shard : shards_) {
-      if (shard->thread.joinable()) shard->thread.join();
-    }
+  if (shut_down_) return;
+  shut_down_ = true;
+  // Order matters: the timer thread broadcasts into shard mailboxes, so it
+  // must drain and exit before those mailboxes close.
+  timer_mailbox_.Close();
+  if (timer_thread_.joinable()) timer_thread_.join();
+  for (auto& shard : shards_) shard->mailbox.Close();
+  for (auto& shard : shards_) {
+    if (shard->thread.joinable()) shard->thread.join();
   }
   if (audit_ != nullptr) {
-    // Every shard thread is joined (or never existed): a final inline drain
-    // collects whatever the last envelopes pushed, then Close flushes the
-    // stream to disk before Shutdown returns — the "explicit flush/close on
-    // shutdown" half of the exporter contract.
+    // Every shard thread is joined: a final inline drain collects whatever
+    // the last envelopes pushed, then Close flushes the stream to disk
+    // before Shutdown returns — the "explicit flush/close on shutdown" half
+    // of the exporter contract.
     for (auto& shard : shards_) DrainShardAudit(*shard);
     audit_->Close();
   }
@@ -541,15 +531,6 @@ AccessDecision AuthorizationService::RunOnShard(
   const int64_t submit_ns = NowNanos();
   requests_counter_->Add();
   Shard& home = *shards_[shard];
-  if (synchronous_) {
-    // No queue, no admission control: the engine runs inline immediately,
-    // so a deadline can never expire before dispatch.
-    const Decision decision = op(*home.engine);
-    if (audit_ != nullptr) DrainShardAudit(home);
-    return Convert(decision, shard,
-                   home.applied_epoch.load(std::memory_order_relaxed),
-                   submit_ns);
-  }
   const int64_t deadline_ns = DeadlineNanos(deadline_us, submit_ns);
   AccessDecision out;
   Latch done(1);
@@ -618,14 +599,6 @@ void AuthorizationService::Broadcast(
   std::lock_guard<std::mutex> admin_lock(admin_mu_);
   broadcasts_counter_->Add();
   const uint64_t epoch = admin_epoch_.load(std::memory_order_relaxed) + 1;
-  if (synchronous_) {
-    if (admin) shards_[0]->engine->BumpDecisionCacheEpoch();
-    fn(*shards_[0]->engine, 0);
-    shards_[0]->applied_epoch.store(epoch, std::memory_order_release);
-    admin_epoch_.store(epoch, std::memory_order_release);
-    if (audit_ != nullptr) DrainShardAudit(*shards_[0]);
-    return;
-  }
   Latch done(static_cast<int>(shards_.size()));
   for (auto& shard : shards_) {
     const bool pushed =
@@ -687,24 +660,12 @@ std::shared_ptr<const Policy> AuthorizationService::current_policy() const {
 Result<RegenReport> AuthorizationService::ApplyPolicyUpdate(
     const Policy& updated) {
   std::lock_guard<std::mutex> update_lock(update_mu_);
-  if (!pauseless_updates_ || current_policy_ == nullptr) {
-    // Legacy stop-the-world path (and the fallback when no policy is
-    // loaded, where every shard will correctly refuse). Every shard runs
-    // the identical validate+diff+regenerate inside the epoch barrier;
-    // shard 0's report stands for all of them.
-    std::vector<Result<RegenReport>> reports(
-        shards_.size(), Result<RegenReport>(Status::Internal("not applied")));
-    Broadcast([&](AuthorizationEngine& engine, uint32_t shard) {
-      reports[shard] = engine.ApplyPolicyUpdate(updated);
-    });
-    for (auto& report : reports) {
-      if (!report.ok()) return report.status();
-    }
-    return reports[0];
+  if (current_policy_ == nullptr) {
+    return Status::FailedPrecondition("no policy loaded yet");
   }
 
-  // Pauseless swap. Prepare once, off every shard thread: validation and
-  // the full-policy diffs happen here, on the admin caller's time.
+  // Prepare once, off every shard thread: validation and the full-policy
+  // diffs happen here, on the admin caller's time.
   const int64_t build_start_ns = NowNanos();
   auto plan = AuthorizationEngine::PreparePolicyUpdate(current_policy_,
                                                        updated);
@@ -722,31 +683,26 @@ Result<RegenReport> AuthorizationService::ApplyPolicyUpdate(
   // every shard serves the new generation).
   std::vector<Result<RegenReport>> reports(
       shards_.size(), Result<RegenReport>(Status::Internal("not applied")));
-  if (synchronous_) {
-    reports[0] = shards_[0]->engine->CommitPolicyUpdate(*plan);
-    if (audit_ != nullptr) DrainShardAudit(*shards_[0]);
-  } else {
-    Latch done(static_cast<int>(shards_.size()));
-    for (auto& shard : shards_) {
-      const bool pushed =
-          shard->mailbox.Push([&plan, &reports, &done](Shard& s) {
-            const int64_t start_ns = NowNanos();
-            reports[s.index] = s.engine->CommitPolicyUpdate(*plan);
-            s.swap_commit_hist->Record((NowNanos() - start_ns) / 1000);
-            done.Arrive();
-          });
-      // A closed mailbox (shutdown race) can no longer commit; count it
-      // down so the caller is not stranded — its slot keeps the
-      // "not applied" error.
-      if (!pushed) done.Arrive();
-    }
-    done.Wait();
+  Latch done(static_cast<int>(shards_.size()));
+  for (auto& shard : shards_) {
+    const bool pushed =
+        shard->mailbox.Push([&plan, &reports, &done](Shard& s) {
+          const int64_t start_ns = NowNanos();
+          reports[s.index] = s.engine->CommitPolicyUpdate(*plan);
+          s.swap_commit_hist->Record((NowNanos() - start_ns) / 1000);
+          done.Arrive();
+        });
+    // A closed mailbox (shutdown race) can no longer commit; count it down
+    // so the caller is not stranded — its slot keeps the "not applied"
+    // error.
+    if (!pushed) done.Arrive();
   }
+  done.Wait();
   for (auto& report : reports) {
     if (!report.ok()) {
       // Loud rollback: validation failures are caught at Prepare before
-      // any shard mutates, so a commit failure is the rare builder error
-      // (same surface the legacy path had). current_policy_ stays put, the
+      // any shard mutates, so a commit failure is the rare builder error.
+      // current_policy_ stays put, the
       // error is returned and logged, and any shard that did flip will
       // reject the next plan with FailedPrecondition rather than diverge
       // silently.
@@ -869,26 +825,6 @@ void AuthorizationService::CheckAccessBatchInto(
   batches_counter_->Add();
   requests_counter_->Add(requests.size());
   batch_size_hist_->RecordShared(static_cast<int64_t>(requests.size()));
-  if (synchronous_) {
-    Shard& shard = *shards_[0];
-    for (size_t i = 0; i < requests.size(); ++i) {
-      // Inline dispatch still debits quota buckets; only kAlways can turn
-      // the verdict into a refusal here (there is no queue to overload).
-      if (AdmitPrincipal(requests[i]) == Policer::Verdict::kOverQuota &&
-          quota_always_) {
-        out[i] = RefuseOverQuota(&requests[i], 0, submit_ns);
-        continue;
-      }
-      const Decision decision = shard.engine->CheckAccess(
-          requests[i].session, requests[i].operation, requests[i].object,
-          requests[i].purpose);
-      out[i] = Convert(decision, 0,
-                       shard.applied_epoch.load(std::memory_order_relaxed),
-                       submit_ns);
-    }
-    if (audit_ != nullptr) DrainShardAudit(shard);
-    return;
-  }
   // Per-item zero-hop probe first: only the misses pay a mailbox hop, and
   // a batch answered entirely from snapshots involves no shard at all.
   std::vector<uint32_t> pending;
@@ -1140,14 +1076,6 @@ void AuthorizationService::ApplyAdvance(Time target) {
 }
 
 Status AuthorizationService::AdvanceTo(Time t) {
-  if (synchronous_) {
-    if (shut_down_.load(std::memory_order_acquire)) {
-      return Status::FailedPrecondition(
-          "service is shut down; time not advanced");
-    }
-    ApplyAdvance(t);
-    return Status::OK();
-  }
   Latch done(1);
   // A closed timer mailbox means Shutdown already joined the timer thread:
   // the advance can never happen, and pretending it did would let callers
@@ -1166,10 +1094,6 @@ void AuthorizationService::Inspect(
     uint32_t shard,
     const std::function<void(const AuthorizationEngine&)>& fn) {
   Shard& target = *shards_[shard];
-  if (synchronous_) {
-    fn(*target.engine);
-    return;
-  }
   Latch done(1);
   const bool pushed = target.mailbox.Push([&](Shard& s) {
     fn(*s.engine);
@@ -1227,10 +1151,6 @@ size_t AuthorizationService::MailboxPeakDepth(uint32_t shard) const {
 
 bool AuthorizationService::InjectShardFault(uint32_t shard,
                                             std::function<void()> fn) {
-  if (synchronous_) {
-    fn();
-    return true;
-  }
   return shards_[shard]->mailbox.Push(
       [fn = std::move(fn)](Shard&) { fn(); });
 }

@@ -45,9 +45,8 @@ enum class QuotaEnforcement {
   /// semantics over the full capacity.
   kOnOverload,
   /// Hard cap: an over-quota request is refused immediately at admission,
-  /// idle shard or not. Deterministic (and the only mode with any effect in
-  /// synchronous mode, where there is no queue to overload) — what the
-  /// differential harness's policer arm runs.
+  /// idle shard or not. Deterministic — what the differential harness's
+  /// policer arm runs.
   kAlways,
 };
 
@@ -71,11 +70,6 @@ struct ServiceConfig {
   /// be >= 1 — 0 and other negatives are rejected by ValidateConfig with a
   /// Status error, not silently clamped.
   int num_shards = kAutoShards;
-  /// Synchronous single-shard mode: one engine, every call runs inline on
-  /// the caller's thread, no threads are spawned. Semantically identical to
-  /// driving an AuthorizationEngine directly — the mode existing tests and
-  /// benches (and the stress test's oracle) rely on.
-  bool synchronous = false;
   /// Simulated start time for every shard clock.
   Time start_time = 0;
   /// Per-shard decision audit ring capacity (see DecisionLog).
@@ -105,8 +99,7 @@ struct ServiceConfig {
   /// shard's live published stamp is answered without a mailbox hop or any
   /// lock. Misses, stale entries, purpose-qualified requests and
   /// symbol-overflow keys fall back to the mailbox path unchanged. Requires
-  /// decision_cache_capacity > 0 (rejected by ValidateConfig otherwise) and
-  /// is ignored in synchronous mode, where every call is already inline.
+  /// decision_cache_capacity > 0 (rejected by ValidateConfig otherwise).
   /// Caveat: fast-path hits are counted in decision_cache_fastpath_hits_total
   /// and service_requests_total but bypass the shard engine — they do not
   /// appear in its decisions_total or its decision audit log.
@@ -175,19 +168,6 @@ struct ServiceConfig {
   /// wall clock. Injectable so tests and the differential harness control
   /// refill exactly.
   std::function<int64_t()> quota_clock;
-  /// Pauseless policy swaps (the default): ApplyPolicyUpdate validates and
-  /// diffs the update once on the caller's thread (PreparePolicyUpdate),
-  /// then each shard commits the prebuilt plan as one ordinary exempt-lane
-  /// envelope — an O(affected-rules) regenerate plus a pointer flip — with
-  /// no epoch barrier and no blanket cache wipe (stamped entries die
-  /// lazily through the rule-pool generation). Set false to restore the
-  /// legacy stop-the-world epoch broadcast: every shard stalls while it
-  /// re-validates and re-diffs the update, and the bumped cache epoch
-  /// discards every cached verdict — the A/B arm bench_policy_swap
-  /// measures against. LoadPolicy and SetContext always take the barrier:
-  /// they rewrite truly-global state (full pool build / context keys) that
-  /// has no incremental stamp to invalidate through.
-  bool pauseless_updates = true;
 };
 
 /// Aggregated per-shard counters (gathered with a quiescing inspection).
@@ -323,14 +303,19 @@ class AuthorizationService {
   /// Validates and installs `policy` on every shard. Call once.
   Status LoadPolicy(const Policy& policy);
 
-  /// Applies an incremental policy update to every shard. With
-  /// pauseless_updates (the default) this is the RCU swap: prepare once on
-  /// this thread, commit per shard without a barrier — shards keep serving
-  /// throughout, and on return every shard runs the new generation (the
-  /// return is the linearization point: requests submitted afterwards see
-  /// the new policy everywhere). With pauseless_updates=false it is the
-  /// legacy epoch-barrier broadcast. Serialized against concurrent updates
-  /// either way; the returned report is shard 0's.
+  /// Applies an incremental policy update to every shard as an RCU swap:
+  /// validate and diff once on this thread (PreparePolicyUpdate), then each
+  /// shard commits the prebuilt plan as one ordinary exempt-lane envelope —
+  /// an O(affected-rules) regenerate plus a pointer flip — with no epoch
+  /// barrier and no blanket cache wipe (stamped entries die lazily through
+  /// the rule-pool generation). Shards keep serving throughout, and on
+  /// return every shard runs the new generation (the return is the
+  /// linearization point: requests submitted afterwards see the new policy
+  /// everywhere). LoadPolicy and SetContext still take the barrier: they
+  /// rewrite truly-global state (full pool build / context keys) that has
+  /// no incremental stamp to invalidate through. Serialized against
+  /// concurrent updates; the returned report is shard 0's. Before
+  /// LoadPolicy it fails with FailedPrecondition.
   Result<RegenReport> ApplyPolicyUpdate(const Policy& updated);
 
   /// The policy generation the service currently serves (the last
@@ -390,7 +375,6 @@ class AuthorizationService {
   // ------------------------------------------------------ Introspection
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  bool synchronous() const { return synchronous_; }
   /// Epoch of the latest completed admin broadcast.
   uint64_t admin_epoch() const {
     return admin_epoch_.load(std::memory_order_acquire);
@@ -398,9 +382,9 @@ class AuthorizationService {
   /// Home shard of `user` — deterministic in (user, num_shards).
   uint32_t ShardOf(const std::string& user) const;
 
-  /// Runs `fn` against one shard's engine on that shard's thread (inline in
-  /// synchronous mode) and blocks until done — the race-free window tests
-  /// and stats use to look inside an engine.
+  /// Runs `fn` against one shard's engine on that shard's thread and blocks
+  /// until done — the race-free window tests and stats use to look inside
+  /// an engine.
   void Inspect(uint32_t shard,
                const std::function<void(const AuthorizationEngine&)>& fn);
 
@@ -408,7 +392,7 @@ class AuthorizationService {
   ServiceStats Stats();
 
   /// Current / high-water queued-envelope depth of one shard mailbox
-  /// (exempt admin envelopes included). Always 0 in synchronous mode.
+  /// (exempt admin envelopes included).
   size_t MailboxDepth(uint32_t shard) const;
   size_t MailboxPeakDepth(uint32_t shard) const;
 
@@ -434,8 +418,7 @@ class AuthorizationService {
   /// without waiting for it to run. While `fn` runs, the shard thread is
   /// stalled: decision traffic behind it ages in queue and, with a bounded
   /// mailbox, producers shed or block — the deterministic way tests create
-  /// overload. Returns false when the mailbox is already closed. In
-  /// synchronous mode `fn` runs inline before returning.
+  /// overload. Returns false when the mailbox is already closed.
   bool InjectShardFault(uint32_t shard, std::function<void()> fn);
 
   // -------------------------------------------------------- Telemetry
@@ -575,8 +558,8 @@ class AuthorizationService {
 
   /// Export tap: hands the shard's undrained DecisionLog tail to the audit
   /// exporter and accounts ring evictions as drops. Shard-thread only
-  /// (inline callers in synchronous mode / after joins in Shutdown are the
-  /// same single-threaded world). One comparison when nothing is new.
+  /// (Shutdown's final drain after the joins is the same single-threaded
+  /// world). One comparison when nothing is new.
   void DrainShardAudit(Shard& shard);
 
   /// Exports a service-level audit marker (seq 0): a verdict that never
@@ -594,7 +577,6 @@ class AuthorizationService {
   AccessDecision Convert(const Decision& decision, uint32_t shard,
                          uint64_t epoch, int64_t submit_ns) const;
 
-  bool synchronous_ = false;
   Status init_status_;
   /// Overload knobs, frozen at construction.
   bool shed_on_full_ = false;
@@ -612,7 +594,7 @@ class AuthorizationService {
   /// reservation is what makes shedding weighted — conformant principals
   /// always find headroom an abuser cannot occupy.
   size_t over_quota_max_depth_ = 0;
-  /// Zero-hop read path enabled (config flag, cache on, not synchronous).
+  /// Zero-hop read path enabled (config flag and cache on).
   bool fastpath_ = false;
   /// Async audit writer; null when audit_path was empty. Created before the
   /// shard threads start and Closed (flushing) inside Shutdown, so every
@@ -648,7 +630,6 @@ class AuthorizationService {
   /// The installed shared generation — the identity base the next
   /// PreparePolicyUpdate pins its plan to. Guarded by update_mu_.
   std::shared_ptr<const Policy> current_policy_;
-  bool pauseless_updates_ = true;
   telemetry::Counter* policy_swaps_counter_ = nullptr;  // Owned by registry.
   telemetry::Counter* policy_swap_failures_counter_ = nullptr;
   /// Off-thread prepare cost (validate + diff + delta), in microseconds.
@@ -663,9 +644,7 @@ class AuthorizationService {
   std::unordered_map<SessionId, uint32_t> sessions_;
 
   std::mutex shutdown_mu_;
-  /// Written under shutdown_mu_; read lock-free by synchronous-mode calls
-  /// that must refuse after shutdown (AdvanceTo).
-  std::atomic<bool> shut_down_{false};
+  bool shut_down_ = false;  // Guarded by shutdown_mu_.
 };
 
 }  // namespace sentinel

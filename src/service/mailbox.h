@@ -290,7 +290,12 @@ class Mailbox {
 
   /// Writes the item into its claimed slot and publishes it.
   void Publish(T item) {
-    const uint64_t pos = tail_.fetch_add(1, std::memory_order_relaxed);
+    // acq_rel, not relaxed: the admission that freed this cell's previous
+    // occupant may have gone to an earlier claimer, not to this producer.
+    // Chaining every claim through tail_ hands that consumer's release on
+    // ring_size_ on to whichever producer reuses the cell, so its write
+    // happens after the consumer's read of the old item.
+    const uint64_t pos = tail_.fetch_add(1, std::memory_order_acq_rel);
     Cell& cell = cells_[pos & mask_];
     cell.item = std::move(item);
     cell.seq.store(pos + 1, std::memory_order_release);

@@ -356,7 +356,6 @@ TEST(ServiceAuditTest, ExportsEveryEngineDecisionWithExactAccounting) {
   const std::string path = TempPath("service_audit.jsonl");
   std::remove(path.c_str());
   ServiceConfig config;
-  config.synchronous = true;
   config.num_shards = 1;
   config.audit_path = path;
   AuthorizationService service(config);
@@ -407,7 +406,6 @@ TEST(ServiceAuditTest, MetricsSurfaceAuditCounters) {
   const std::string path = TempPath("service_audit_metrics.jsonl");
   std::remove(path.c_str());
   ServiceConfig config;
-  config.synchronous = true;
   config.num_shards = 1;
   config.audit_path = path;
   AuthorizationService service(config);

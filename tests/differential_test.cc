@@ -663,11 +663,11 @@ TEST(CachedServiceDifferentialTest, PolicedAdmissionZeroDivergences) {
       << "--seed=" << seed;
 }
 
-/// Same lockstep over the synchronous single-shard mode, where the cache
-/// shares the caller's thread — a cheaper second arm with its own seed.
-TEST(CachedServiceDifferentialTest, SynchronousCachedServiceMatchesOracle) {
+/// Same lockstep over a single shard, where every request meets the one
+/// engine's cache — a cheaper second arm with its own seed.
+TEST(CachedServiceDifferentialTest, SingleShardCachedServiceMatchesOracle) {
   const uint64_t seed = g_harness_seed * 0xd1342543de82ef95ull + 1;
-  std::cerr << "[harness] synchronous-arm seed derived from --seed="
+  std::cerr << "[harness] single-shard-arm seed derived from --seed="
             << g_harness_seed << "\n";
 
   const Policy policy = GeneratePolicy(CachedHarnessPolicyParams(seed));
@@ -682,7 +682,6 @@ TEST(CachedServiceDifferentialTest, SynchronousCachedServiceMatchesOracle) {
 
   ServiceConfig config;
   config.num_shards = 1;
-  config.synchronous = true;
   config.start_time = testutil::Noon();
   config.decision_cache_capacity = 1024;
   auto service_or = AuthorizationService::Create(config);

@@ -347,9 +347,12 @@ TEST(PolicerServiceTest, WeightedShedOrderingUnderFullMailbox) {
   // (6 of 8): exactly six queue, the seventh is refused immediately.
   std::vector<std::thread> producers;
   std::vector<AccessDecision> abusive_results(7);
+  std::atomic<int> answered{0};
   for (int i = 0; i < 7; ++i) {
-    producers.emplace_back([&service, &abusive, &abusive_results, i] {
+    producers.emplace_back([&service, &abusive, &abusive_results, &answered,
+                            i] {
       abusive_results[i] = service.CheckAccess(abusive);
+      answered.fetch_add(1);
     });
   }
   const auto deadline =
@@ -373,6 +376,12 @@ TEST(PolicerServiceTest, WeightedShedOrderingUnderFullMailbox) {
     EXPECT_TRUE(decision.allowed);
   });
 
+  // The six queued producers cannot be answered while the shard is stalled,
+  // so the first answer is the seventh producer's refusal. Releasing before
+  // it has run would let it into the drained mailbox instead.
+  while (answered.load() < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   release = true;
   for (std::thread& t : producers) t.join();
   conformant_caller.join();
@@ -421,7 +430,7 @@ threshold guard { count: 3  window: 1m  throttle-rate: 0.000001
 TEST(PolicerServiceTest, ThresholdRuleThrottlesAbusivePrincipal) {
   std::atomic<int64_t> clock{0};
   ServiceConfig config;
-  config.synchronous = true;
+  config.num_shards = 1;
   config.start_time = testutil::Noon();
   config.quota_enforcement = QuotaEnforcement::kAlways;
   config.quota_clock = [&clock] { return clock.load(); };
@@ -452,7 +461,7 @@ TEST(PolicerServiceTest, ThresholdRuleThrottlesAbusivePrincipal) {
 TEST(PolicerServiceTest, PauselessSwapUpdatesThrottlePenalty) {
   std::atomic<int64_t> clock{0};
   ServiceConfig config;
-  config.synchronous = true;
+  config.num_shards = 1;
   config.start_time = testutil::Noon();
   config.quota_enforcement = QuotaEnforcement::kAlways;
   config.quota_clock = [&clock] { return clock.load(); };

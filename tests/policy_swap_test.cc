@@ -184,6 +184,15 @@ TEST(PolicySwapTest, BuilderFailureRollsBackLoudly) {
   }
 }
 
+TEST(PolicySwapTest, UpdateBeforeLoadIsRefused) {
+  ServiceConfig config;
+  config.num_shards = 1;
+  AuthorizationService service(config);
+  const auto report = service.ApplyPolicyUpdate(BothGrantsPolicy());
+  EXPECT_TRUE(report.status().IsFailedPrecondition()) << report.status();
+  EXPECT_EQ(service.current_policy(), nullptr);
+}
+
 // --------------------------------------------- Back-to-back serialization
 
 TEST(PolicySwapTest, BackToBackUpdatesLandBothGenerations) {
@@ -216,6 +225,20 @@ TEST(PolicySwapTest, BackToBackUpdatesLandBothGenerations) {
   EXPECT_TRUE(service->CheckAccess(Req("read", "archive")).allowed);
   EXPECT_EQ(service->Stats().policy_swaps, 3u);
   EXPECT_EQ(service->Stats().policy_swap_failures, 0u);
+  // The swap-cost series reach 2^19 us, so the 80-180 ms swaps of a large
+  // org land in a finite bucket rather than +Inf. One build per update, one
+  // commit per update per shard.
+  const TelemetrySnapshot snap = service->Snapshot();
+  const telemetry::HistogramSnapshot* build =
+      snap.metrics.FindHistogram("policy_swap_build_us");
+  const telemetry::HistogramSnapshot* commit =
+      snap.metrics.FindHistogram("policy_swap_commit_us");
+  ASSERT_NE(build, nullptr);
+  ASSERT_NE(commit, nullptr);
+  EXPECT_EQ(build->bounds.back(), 524288);
+  EXPECT_EQ(commit->bounds.back(), 524288);
+  EXPECT_EQ(build->TotalCount(), 3u);
+  EXPECT_EQ(commit->TotalCount(), 3u * 2u);
 
   // Every shard serves the SAME generation object at the same version.
   const Policy* seen = nullptr;

@@ -67,13 +67,12 @@ void Apply(AuthorizationService& service, const Request& request) {
   }
 }
 
-/// Captures an audit stream by running `scenario` through a synchronous
+/// Captures an audit stream by running `scenario` through a single-shard
 /// audited service; returns the parsed records.
 std::vector<AuditRecord> CaptureScenario(const Scenario& scenario,
                                          const std::string& path) {
   std::remove(path.c_str());
   ServiceConfig config;
-  config.synchronous = true;
   config.num_shards = 1;
   config.start_time = MakeTime(2026, 7, 6, 9, 0, 0);
   config.audit_path = path;
@@ -220,7 +219,6 @@ TEST(ReplayTest, TailAfterPauselessSwapsReplaysFinalPolicyWithZeroDiffs) {
   const std::string path = TempPath("replay_swap_tail.jsonl");
   std::remove(path.c_str());
   ServiceConfig config;
-  config.synchronous = true;
   config.num_shards = 1;
   config.start_time = MakeTime(2026, 7, 6, 9, 0, 0);
   config.audit_path = path;
